@@ -140,8 +140,7 @@ class Executor(abc.ABC):
         Semantically identical to a loop of :meth:`submit` — this default
         *is* that loop — but backends may override it as a fast path that
         amortises per-submit overhead (the thread pool takes its queue
-        lock once and wakes workers once for the whole group).  The
-        serving gateway dispatches micro-batches through here.
+        lock once and wakes workers once for the whole group).
         """
         arg_tuples = list(arg_tuples)
         if costs is not None and len(costs) != len(arg_tuples):

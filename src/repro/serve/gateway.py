@@ -4,18 +4,35 @@
 it admits (or sheds), consults the memoizing cache, micro-batches, and
 dispatches to the wrapped executor, resolving each request's
 :class:`~repro.serve.requests.Ticket` with a typed response.  The same
-client code runs identically over every backend; what changes is the
-*clock discipline*:
+client code runs identically over every backend.
 
-* **driven** mode (inline/sim, virtual time) — the gateway owns a
+Every request follows one lifecycle, each step written once:
+
+* **admit** — ``submit`` sheds with a typed ``Rejected`` or admits;
+* **cache** — ``_cache_locked``: a hit resolves at once, a request for
+  a key already in flight joins that key's coalesced followers
+  (``_waiters``), a miss leads;
+* **batch** — the :class:`~repro.serve.batching.MicroBatcher` groups
+  leaders by kind until a batch fills or ages out;
+* **dispatch** — ``_prepare_locked`` rejects cancelled and overdue
+  requests, then the batch runs;
+* **resolve** — ``_deliver_locked`` stores or fails the key in the
+  cache, resolves its followers, then resolves the request.
+
+Only *dispatch* depends on the backend's clock discipline, which the
+gateway derives from the executor (:func:`runs_driven`):
+
+* **driven** (inline/sim, virtual time) — the gateway owns a
   :class:`~repro.util.stopwatch.ManualClock` and a service-time model
   (``executor.cores`` servers, earliest-free assignment), so a seeded
   arrival trace yields byte-identical latency/shed/hit numbers on every
   run.  Work still *executes* eagerly at dispatch (real values come
-  back); only time is modeled.
-* **thread** mode (threads/processes, wall time) — a dispatcher thread
-  ages out open batches on the real clock and completions arrive via
-  future callbacks; latency is measured wall time.
+  back); only time is modeled, and completions are delivered when the
+  clock reaches them.
+* **thread** (threads/processes, wall time) — a dispatcher thread ages
+  out open batches on the real clock, ``_send`` hands batches to the
+  executor and completions arrive via future callbacks; latency is
+  measured wall time.
 
 Overload can only shed, never block: ``submit`` returns a resolved
 ``Rejected`` ticket instead of queueing past the admission limits, and
@@ -27,6 +44,7 @@ executor's ``ExecutorShutdown`` stranded-future guarantee.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import threading
 import time
@@ -61,13 +79,19 @@ from repro.serve.requests import (
 )
 from repro.util.stopwatch import Clock, ManualClock, WallClock
 
-__all__ = ["Gateway", "GatewayStats"]
+__all__ = ["Gateway", "GatewayStats", "runs_driven"]
 
 _AUTO = object()  # sentinel: derive the cache key from (task, args, kwargs)
 
 #: no backoff sleeps inside the gateway — retries are immediate, so the
 #: driven mode stays a pure function of the arrival trace
 _DEFAULT_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0, jitter=0.0)
+
+
+def runs_driven(executor: Executor) -> bool:
+    """True for the eager virtual-time backends (inline, sim), which a
+    gateway drives on a modeled clock; real pools run in thread mode."""
+    return isinstance(executor, (InlineExecutor, SimExecutor))
 
 
 @dataclass
@@ -101,14 +125,21 @@ class _Request:
     rt: RequestTrace | None = None
 
 
+#: a batch ready to run: its surviving requests and its label
+#: ``"<gateway>:<kind>[<size>]"``, which names the batch's executor
+#: task and its retry events in both modes
+_Prepared = tuple[list[_Request], str]
+
+
 class Gateway:
     """Serving front door over an :class:`~repro.executor.base.Executor`.
 
     The gateway *uses* the executor but does not own it: ``shutdown()``
     releases gateway resources only, and the caller remains responsible
-    for ``executor.shutdown()``.  ``mode="auto"`` picks driven for the
-    eager virtual-time backends (inline, sim) and thread otherwise;
-    custom eager backends should pass ``mode="driven"`` explicitly.
+    for ``executor.shutdown()``.  ``mode`` is ``"driven"`` on the eager
+    virtual-time backends (inline, sim) and ``"thread"`` otherwise.  The
+    gateway holds the coalesced followers of its in-flight keys, so a
+    cache serves one gateway.
     """
 
     def __init__(
@@ -119,24 +150,15 @@ class Gateway:
         batching: BatchPolicy | None = None,
         cache: LRUTTLCache | ModeledCache | None = None,
         retry: RetryPolicy | None = None,
-        mode: str = "auto",
-        clock: Clock | None = None,
         dispatch_overhead: float = 0.0,
         trace: TraceRecorder | None = None,
         rtrace: RequestTraceCollector | None = None,
         name: str = "serve",
     ) -> None:
-        if mode == "auto":
-            mode = (
-                "driven"
-                if isinstance(executor, (InlineExecutor, SimExecutor))
-                else "thread"
-            )
-        if mode not in ("driven", "thread"):
-            raise ValueError(f"mode must be 'driven', 'thread' or 'auto', got {mode!r}")
+        driven = runs_driven(executor)
         self.executor = executor
-        self.mode = mode
-        self.clock: Clock = clock or (ManualClock() if mode == "driven" else WallClock())
+        self.mode = "driven" if driven else "thread"
+        self.clock: Clock = ManualClock() if driven else WallClock()
         self.cache = cache
         self.retry = retry or _DEFAULT_RETRY
         self.dispatch_overhead = dispatch_overhead
@@ -145,7 +167,7 @@ class Gateway:
         # thread mode measures execution where it runs: batches go
         # through run_batch_timed and workers are told to emit
         # per-request shard spans (no-op on backends without pipes)
-        self._timed = rtrace is not None and mode == "thread"
+        self._timed = rtrace is not None and not driven
         self.name = name
         self.stats = GatewayStats()
         self._admission = AdmissionController(admission, now=self.clock.now())
@@ -155,21 +177,19 @@ class Gateway:
         self._next_id = 0
         self._depth = 0  # admitted-but-unresolved requests
         self._shut = False
-        # driven mode: per-core earliest-free times + pending completions;
-        # a completion payload is ("ok", value, batch_size) or
-        # ("err", exception, batch_size)
+        # driven mode: per-core earliest-free times + pending completions
+        # (finish, seq, request, status, value, batch size, attempts)
         self._core_free = [self.clock.now()] * max(1, executor.cores)
-        heapq.heapify(self._core_free)
-        self._completions: list[tuple[float, int, _Request, tuple]] = []
+        self._completions: list[tuple] = []
         self._seq = 0
-        # key -> coalesced followers waiting on an in-flight leader (driven)
+        # key -> coalesced followers waiting on the key's in-flight leader
         self._waiters: dict[str, list[_Request]] = {}
         # unresolved admitted requests (drain waits on these)
         self._live: dict[int, _Request] = {}
         self._dispatcher: threading.Thread | None = None
         if self._timed:
             self.executor.signal("serve.rtrace", True)
-        if mode == "thread":
+        if not driven:
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name=f"{name}-dispatcher", daemon=True
             )
@@ -239,13 +259,20 @@ class Gateway:
                 ticket, fn, args, dict(kwargs), kind, cost, key, now, deadline, cancel,
                 rt=rt,
             )
+            self._depth += 1
+            self._live[ticket.request_id] = req
             if key is not None and self.cache is not None:
-                if self._try_cache_locked(req, now):
+                if self._cache_locked(req, now):
                     return ticket
             elif rt is not None:
                 # no cacheable key: the lookup segment is zero-width
                 rt.mark("cache", now)
-            self._enqueue_locked(req, now)
+            self.trace.set_gauge("serve.queue_depth", self._depth)
+            batch = self._batcher.add(req, now)
+            if batch is not None:
+                self._dispatch_locked([batch], now)
+            elif self.mode == "thread":
+                self._wake.notify_all()
         return ticket
 
     def result(self, ticket: Ticket, timeout: float | None = None) -> Response:
@@ -262,11 +289,14 @@ class Gateway:
 
     def pump(self, now: float | None = None) -> None:
         """Driven mode: advance to ``now`` (default: current clock),
-        dispatching due batches and delivering due completions."""
+        dispatching due batches and delivering due completions.  Thread
+        mode does this continuously on its dispatcher thread, so there
+        pumping is a no-op."""
+        if self.mode != "driven":
+            return
         with self._lock:
-            clk = self.clock
-            if now is not None and isinstance(clk, ManualClock) and now > clk.now():
-                clk.advance_to(now)
+            if now is not None and now > self.clock.now():
+                self.clock.advance_to(now)  # type: ignore[attr-defined]
             self._advance_locked(self.clock.now())
 
     def drain(self) -> float:
@@ -276,25 +306,19 @@ class Gateway:
         and returns it; thread mode blocks until live requests resolve
         and returns the wall clock.  The gateway stays open.
         """
-        if self.mode == "driven":
-            with self._lock:
-                now = self.clock.now()
+        with self._wake:
+            now = self.clock.now()
+            if self.mode == "driven":
                 self._advance_locked(now)
-                for batch in sorted(self._batcher.flush(), key=lambda b: b.opened_at):
-                    self._dispatch_driven_locked(batch, now)
-                end = max(
-                    (finish for finish, _, _, _ in self._completions), default=now
-                )
-                clk = self.clock
-                if isinstance(clk, ManualClock) and end > now:
-                    clk.advance_to(end)
+            flushed = sorted(self._batcher.flush(), key=lambda b: b.opened_at)
+            self._dispatch_locked(flushed, now)
+            if self.mode == "driven":
+                end = max((c[0] for c in self._completions), default=now)
+                if end > now:
+                    self.clock.advance_to(end)  # type: ignore[attr-defined]
                 self._advance_locked(end)
                 return end
-        with self._wake:
-            batches = self._batcher.flush()
             self._wake.notify_all()
-        for batch in batches:
-            self._dispatch_thread(batch)
         while True:
             with self._lock:
                 live = list(self._live.values())
@@ -320,22 +344,12 @@ class Gateway:
                 now = self.clock.now()
                 for batch in self._batcher.flush():
                     for req in batch.requests:
-                        self._abort_keyed_locked(
-                            req,
-                            ExecutorShutdown("gateway shut down before dispatch"),
-                            now,
-                        )
-                        if req.rt is not None:
-                            req.rt.mark("resolve", now)
-                        self._resolve_locked(
-                            req,
-                            Rejected("shutdown", "gateway shut down before dispatch"),
+                        self._reject_locked(
+                            req, "shutdown", "gateway shut down before dispatch", now
                         )
                 # driven mode: completed-but-undelivered work is real
                 # results — deliver it rather than discarding
-                while self._completions:
-                    finish, _, req, payload = heapq.heappop(self._completions)
-                    self._finalize_driven_locked(req, payload, finish)
+                self._complete_until_locked(math.inf)
             self._wake.notify_all()
         if drain:
             self.drain()
@@ -348,7 +362,7 @@ class Gateway:
         with self._lock:
             return self._depth
 
-    # -------------------------------------------------------- shared internals
+    # ------------------------------------------------------ admit and cache
 
     def _shed(self, ticket: Ticket, reason: str, detail: str, now: float) -> Ticket:
         self.stats.shed[reason] = self.stats.shed.get(reason, 0) + 1
@@ -358,17 +372,181 @@ class Gateway:
         ticket._resolve(Rejected(reason, detail))
         return ticket
 
-    def _rt_finish(self, req: _Request, response: Response) -> None:
-        """Fold a resolved request's stage trace into the collector."""
+    def _cache_locked(self, req: _Request, now: float) -> bool:
+        """Consult the cache; True if the request is fully handled here
+        (hit, coalesced follower, or modeled warm key), False if it
+        leads and goes on to be batched."""
+        assert self.cache is not None and req.key is not None
+        decision = self.cache.begin(req.key, now)
+        if decision.status == "wait":
+            self.trace.count("serve.cache_coalesced")
+            self._waiters.setdefault(req.key, []).append(req)
+            return True
+        if decision.status == "lead" and decision.charge:
+            self.trace.count("serve.cache_misses")
+            if req.rt is not None:
+                # miss: the lookup itself is instantaneous on the stage clock
+                req.rt.mark("cache", now)
+            return False
+        # A hit, or a modeled warm key (sim) served as one: the body of a
+        # warm key still runs once so the client gets a real value, but
+        # at zero service cost and without occupying the queue.
+        self.trace.count("serve.cache_hits")
         if req.rt is not None:
-            assert self.rtrace is not None
-            self.rtrace.finish(req.rt, response)
-            req.rt = None
+            req.rt.mark("cache", now)
+            req.rt.mark("resolve", now)
+        value = decision.value
+        if decision.status == "lead":
+            try:
+                value = req.fn(*req.args, **req.kwargs)
+            except Exception as exc:  # noqa: BLE001 — failures become responses
+                self._deliver_locked(req, "err", exc, now)
+                return True
+            self.cache.complete(req.key, value, now)
+        self._resolve_locked(req, Completed(value, latency=0.0, cached=True))
+        return True
+
+    # ---------------------------------------------------- batch and dispatch
+
+    def _dispatch_locked(self, batches: list[Batch], now: float) -> None:
+        """Dispatch closed batches at ``now``: eagerly on the modeled
+        cores in driven mode, through :meth:`_send` in thread mode."""
+        prepared = self._prepare_locked(batches, now)
+        if self.mode == "thread":
+            self._send(prepared)
+            return
+        for survivors, label in prepared:
+            self._run_driven_locked(survivors, label, now)
+
+    def _prepare_locked(self, batches: list[Batch], now: float) -> list[_Prepared]:
+        """Reject cancelled and overdue requests at dispatch time; count
+        and stage-mark the batches that still have survivors."""
+        prepared: list[_Prepared] = []
+        for batch in batches:
+            survivors: list[_Request] = []
+            for req in batch.requests:
+                if req.cancel is not None and req.cancel.cancelled:
+                    self._reject_locked(
+                        req, "cancelled", f"token {req.cancel.name!r} cancelled", now
+                    )
+                elif req.deadline is not None and now - req.arrival > req.deadline:
+                    self._reject_locked(
+                        req,
+                        "deadline",
+                        f"not dispatched within {req.deadline}s of arrival",
+                        now,
+                    )
+                else:
+                    survivors.append(req)
+            if not survivors:
+                continue
+            self.stats.batches += 1
+            self.trace.count("serve.batches")
+            self.trace.observe("serve.batch_occupancy", len(survivors))
+            if self.rtrace is not None:
+                for req in survivors:
+                    if req.rt is not None:
+                        req.rt.mark("batch", now)
+            prepared.append(
+                (survivors, f"{self.name}:{batch.kind}[{len(survivors)}]")
+            )
+        return prepared
+
+    def _emit_retry(self, label: str, attempt: int, exc: BaseException) -> None:
+        self.stats.retries += 1
+        self.trace.count("serve.retries")
+        if self.trace.enabled:
+            self.trace.event(
+                "retry", label, attempt=attempt, delay=0.0, exception=type(exc).__name__
+            )
+
+    # -------------------------------------------------------------- resolve
+
+    def _deliver_locked(
+        self,
+        req: _Request,
+        status: str,
+        value: Any,
+        t: float,
+        size: int = 1,
+        attempts: int = 1,
+    ) -> None:
+        """Resolve a dispatched request with its outcome at ``t``:
+        ``status`` is ``"ok"`` (``value`` is the result) or ``"err"``
+        (``value`` is the exception).  The key is stored or failed in
+        the cache and its followers resolved first."""
+        ok = status == "ok"
+        self._settle_key_locked(req.key, ok, value, t)
+        latency = t - req.arrival
+        self._resolve_locked(
+            req,
+            Completed(value, latency=latency, batch_size=size, attempts=attempts)
+            if ok
+            else Failed(value, latency=latency, attempts=attempts),
+        )
+
+    def _settle_key_locked(
+        self, key: str | None, ok: bool, value: Any, t: float
+    ) -> None:
+        """The leader of ``key`` finished (``ok``) or will never run:
+        store or fail the key, then resolve its coalesced followers."""
+        if key is None or self.cache is None:
+            return
+        if ok:
+            self.cache.complete(key, value, t)
+        else:
+            self.cache.fail(key)
+        for waiter in self._waiters.pop(key, ()):
+            if waiter.rt is not None:
+                # the whole coalesced wait was spent on the cache leader
+                waiter.rt.mark("cache", t)
+                waiter.rt.mark("resolve", t)
+            latency = t - waiter.arrival
+            self._resolve_locked(
+                waiter,
+                Completed(value, latency=latency, cached=True)
+                if ok
+                else Failed(value, latency=latency),
+            )
+
+    def _reject_locked(self, req: _Request, reason: str, detail: str, now: float) -> None:
+        """An undispatched request will not run: reject it typed and fail
+        its key, so the key's followers resolve and the next request
+        for the key leads afresh."""
+        error = (
+            ExecutorShutdown(detail)
+            if reason == "shutdown"
+            else RuntimeError(f"coalesced leader rejected: {detail}")
+        )
+        self._settle_key_locked(req.key, False, error, now)
+        if req.rt is not None:
+            req.rt.mark("batch", now)
+            req.rt.mark("resolve", now)
+        self._resolve_locked(req, Rejected(reason, detail))
+
+    def _fail_locked(
+        self,
+        reqs: list[_Request],
+        exc: BaseException,
+        now: float,
+        stage: str,
+        attempts: int = 1,
+    ) -> None:
+        """A whole batch failed at ``now``: fail every request in it; the
+        time since dispatch is charged to ``stage``."""
+        for req in reqs:
+            if req.rt is not None:
+                req.rt.mark(stage, now)
+                req.rt.mark("resolve", now)
+            self._deliver_locked(req, "err", exc, now, attempts=attempts)
 
     def _resolve_locked(self, req: _Request, response: Response) -> None:
         if not req.ticket._resolve(response):
             return
-        self._rt_finish(req, response)
+        if req.rt is not None:
+            assert self.rtrace is not None
+            self.rtrace.finish(req.rt, response)
+            req.rt = None
         self._depth -= 1
         self._live.pop(req.ticket.request_id, None)
         self.trace.set_gauge("serve.queue_depth", self._depth)
@@ -384,137 +562,6 @@ class Gateway:
             )
             self.trace.count("serve.shed")
 
-    def _abort_keyed_locked(
-        self, req: _Request, error: BaseException, now: float
-    ) -> None:
-        """A queued cache *leader* is not going to run: fail the key so
-        thread-mode followers unblock, and fail driven-mode waiters."""
-        if req.key is None or self.cache is None:
-            return
-        self.cache.fail(req.key, error)
-        for waiter in self._waiters.pop(req.key, []):
-            if waiter.rt is not None:
-                # the whole coalesced wait was spent on the cache leader
-                waiter.rt.mark("cache", now)
-                waiter.rt.mark("resolve", now)
-            self._resolve_locked(
-                waiter, Failed(error, latency=now - waiter.arrival)
-            )
-
-    def _try_cache_locked(self, req: _Request, now: float) -> bool:
-        """Consult the cache; True if the request is fully handled here
-        (hit, coalesced wait, or modeled warm execute-at-zero-cost)."""
-        assert self.cache is not None and req.key is not None
-        decision = self.cache.begin(req.key, now)
-        if decision.status == "hit":
-            self.trace.count("serve.cache_hits")
-            self.stats.completed += 1
-            self.trace.observe("serve.latency_seconds", 0.0)
-            if req.rt is not None:
-                req.rt.mark("cache", now)
-                req.rt.mark("resolve", now)
-            response = Completed(decision.value, latency=0.0, cached=True)
-            req.ticket._resolve(response)
-            self._rt_finish(req, response)
-            return True
-        if decision.status == "wait":
-            self.trace.count("serve.cache_coalesced")
-            self._depth += 1
-            self._live[req.ticket.request_id] = req
-            if self.mode == "driven":
-                self._waiters.setdefault(req.key, []).append(req)
-            else:
-                leader = decision.leader
-                assert leader is not None
-                leader.add_done_callback(
-                    lambda fut, r=req: self._on_leader_done(r, fut)
-                )
-            return True
-        # status == "lead"
-        if not decision.charge:
-            # Modeled warm key (sim): served as a hit.  The body still
-            # runs once so the client gets a real value, but at zero
-            # service cost and without occupying the queue.
-            self.trace.count("serve.cache_hits")
-            if req.rt is not None:
-                req.rt.mark("cache", now)
-                req.rt.mark("resolve", now)
-            try:
-                value = req.fn(*req.args, **req.kwargs)
-            except Exception as exc:  # noqa: BLE001 — failures become responses
-                self.cache.fail(req.key, exc)
-                self.stats.failed += 1
-                self.trace.count("serve.failures")
-                response: Response = Failed(exc, latency=now - req.arrival)
-                req.ticket._resolve(response)
-                self._rt_finish(req, response)
-                return True
-            self.cache.complete(req.key, value, now)
-            self.stats.completed += 1
-            self.trace.observe("serve.latency_seconds", 0.0)
-            response = Completed(value, latency=0.0, cached=True)
-            req.ticket._resolve(response)
-            self._rt_finish(req, response)
-            return True
-        self.trace.count("serve.cache_misses")
-        if req.rt is not None:
-            # miss: the lookup itself is instantaneous on the stage clock
-            req.rt.mark("cache", now)
-        return False
-
-    def _enqueue_locked(self, req: _Request, now: float) -> None:
-        self._depth += 1
-        self._live[req.ticket.request_id] = req
-        self.trace.set_gauge("serve.queue_depth", self._depth)
-        batch = self._batcher.add(req, now)
-        if batch is not None:
-            if self.mode == "driven":
-                self._dispatch_driven_locked(batch, now)
-            else:
-                self._dispatch_thread(batch)
-        elif self.mode == "thread":
-            self._wake.notify_all()
-
-    def _presend_locked(self, batch: Batch, now: float) -> list[_Request]:
-        """Apply per-request cancellation/deadline at dispatch time."""
-        survivors: list[_Request] = []
-        for req in batch.requests:
-            if req.cancel is not None and req.cancel.cancelled:
-                self._abort_keyed_locked(
-                    req, RuntimeError("coalesced leader cancelled before dispatch"), now
-                )
-                if req.rt is not None:
-                    req.rt.mark("batch", now)
-                    req.rt.mark("resolve", now)
-                self._resolve_locked(
-                    req, Rejected("cancelled", f"token {req.cancel.name!r} cancelled")
-                )
-            elif req.deadline is not None and now - req.arrival > req.deadline:
-                self._abort_keyed_locked(
-                    req, RuntimeError("coalesced leader missed its deadline"), now
-                )
-                if req.rt is not None:
-                    req.rt.mark("batch", now)
-                    req.rt.mark("resolve", now)
-                self._resolve_locked(
-                    req,
-                    Rejected(
-                        "deadline",
-                        f"not dispatched within {req.deadline}s of arrival",
-                    ),
-                )
-            else:
-                survivors.append(req)
-        return survivors
-
-    def _emit_retry(self, name: str, attempt: int, exc: BaseException) -> None:
-        self.stats.retries += 1
-        self.trace.count("serve.retries")
-        if self.trace.enabled:
-            self.trace.event(
-                "retry", name, attempt=attempt, delay=0.0, exception=type(exc).__name__
-            )
-
     # -------------------------------------------------------- driven mode
 
     def _advance_locked(self, now: float) -> None:
@@ -522,26 +569,41 @@ class Gateway:
         for batch in sorted(due, key=lambda b: b.opened_at):
             # dispatch at the instant the batch aged out, not at "now":
             # the latency model should not depend on how often we pump
-            self._dispatch_driven_locked(
-                batch, batch.opened_at + self._batcher.policy.max_delay
+            self._dispatch_locked(
+                [batch], batch.opened_at + self._batcher.policy.max_delay
             )
-        while self._completions and self._completions[0][0] <= now:
-            finish, _, req, payload = heapq.heappop(self._completions)
-            self._finalize_driven_locked(req, payload, finish)
+        self._complete_until_locked(now)
 
-    def _dispatch_driven_locked(self, batch: Batch, t: float) -> None:
-        survivors = self._presend_locked(batch, t)
-        if not survivors:
-            return
-        self.stats.batches += 1
-        self.trace.count("serve.batches")
-        self.trace.observe("serve.batch_occupancy", len(survivors))
+    def _complete_until_locked(self, now: float) -> None:
+        """Deliver the modeled completions due by ``now``."""
+        while self._completions and self._completions[0][0] <= now:
+            finish, _, req, status, value, size, attempts = heapq.heappop(
+                self._completions
+            )
+            self._deliver_locked(req, status, value, finish, size, attempts)
+
+    def _run_driven_locked(self, survivors: list[_Request], label: str, t: float) -> None:
+        """Run one batch on the eager executor with immediate retries,
+        book it on the earliest-free modeled core, and schedule each
+        request's completion at the batch's virtual finish."""
         calls = [(r.fn, r.args, r.kwargs) for r in survivors]
-        name = f"{self.name}:{batch.kind}[{len(survivors)}]"
         cost = self.dispatch_overhead + sum(r.cost for r in survivors)
-        outcome, attempts = self._execute_driven(calls, cost, name)
-        free = heapq.heappop(self._core_free)
-        start = max(t, free)
+        attempts = 1
+        while True:
+            try:
+                future = self.executor.submit(run_batch, calls, cost=cost, name=label)
+                outcome = future.exception()
+            except ExecutorShutdown as shutdown_exc:
+                outcome = shutdown_exc
+                break
+            if outcome is None:
+                outcome = future.result()
+                break
+            if not self.retry.should_retry(outcome, attempts):
+                break
+            self._emit_retry(label, attempts, outcome)
+            attempts += 1
+        start = max(t, heapq.heappop(self._core_free))
         finish = start + cost
         heapq.heappush(self._core_free, finish)
         size = len(survivors)
@@ -551,68 +613,19 @@ class Gateway:
             for req in survivors:
                 if req.rt is None:
                     continue
-                req.rt.mark("batch", t)
                 req.rt.mark("queue", start)
                 req.rt.mark("execute", finish)
                 if attempts > 1:
                     req.rt.mark("retry", finish)
                 req.rt.mark("resolve", finish)
         if isinstance(outcome, BaseException):
-            for req in survivors:
-                self._schedule_completion(req, ("err", outcome, size, attempts), finish)
-        else:
-            for req, (status, payload) in zip(survivors, outcome):
-                self._schedule_completion(
-                    req, (status, payload, size, attempts), finish
-                )
-
-    def _schedule_completion(self, req: _Request, payload: tuple, finish: float) -> None:
-        self._seq += 1
-        heapq.heappush(self._completions, (finish, self._seq, req, payload))
-
-    def _finalize_driven_locked(
-        self, req: _Request, payload: tuple, finish: float
-    ) -> None:
-        status, value, size, attempts = payload
-        latency = finish - req.arrival
-        if status == "err":
-            self._abort_keyed_locked(req, value, finish)
-            self._resolve_locked(req, Failed(value, latency=latency, attempts=attempts))
-            return
-        if req.key is not None and self.cache is not None:
-            self.cache.complete(req.key, value, finish)
-            for waiter in self._waiters.pop(req.key, []):
-                if waiter.rt is not None:
-                    # the coalesced wait on the leader is cache time
-                    waiter.rt.mark("cache", finish)
-                    waiter.rt.mark("resolve", finish)
-                self._resolve_locked(
-                    waiter,
-                    Completed(value, latency=finish - waiter.arrival, cached=True),
-                )
-        self._resolve_locked(
-            req, Completed(value, latency=latency, batch_size=size, attempts=attempts)
-        )
-
-    def _execute_driven(self, calls: list, cost: float, name: str) -> tuple[Any, int]:
-        """Run one batch on the eager executor with immediate retries.
-
-        Returns ``(outcome, attempts)`` where the outcome is the
-        ``run_batch`` result list, or the final exception if the whole
-        batch kept failing (e.g. injected worker faults)."""
-        attempt = 1
-        while True:
-            try:
-                future = self.executor.submit(run_batch, calls, cost=cost, name=name)
-                exc = future.exception()
-            except ExecutorShutdown as shutdown_exc:
-                return shutdown_exc, attempt
-            if exc is None:
-                return future.result(), attempt
-            if not self.retry.should_retry(exc, attempt):
-                return exc, attempt
-            self._emit_retry(name, attempt, exc)
-            attempt += 1
+            outcome = [("err", outcome)] * size
+        for req, (status, value) in zip(survivors, outcome):
+            self._seq += 1
+            heapq.heappush(
+                self._completions,
+                (finish, self._seq, req, status, value, size, attempts),
+            )
 
     # -------------------------------------------------------- thread mode
 
@@ -629,139 +642,47 @@ class Gateway:
                     self._wake.wait(timeout=deadline - now)
                 if self._shut:
                     return
-                due = self._batcher.due(self.clock.now())
-                if len(due) > 1:
-                    self._dispatch_thread_many(due)
+                now = self.clock.now()
+                self._dispatch_locked(self._batcher.due(now), now)
+
+    def _send(self, prepared: list[_Prepared], attempt: int = 1) -> None:
+        """Thread mode: hand each prepared batch to the executor as one
+        task named by its label; the future's callback delivers the
+        batch or re-enters here to retry it."""
+        for reqs, label in prepared:
+            calls = [(r.fn, r.args, r.kwargs) for r in reqs]
+            try:
+                if self._timed:
+                    rids = [r.ticket.request_id for r in reqs]
+                    future = self.executor.submit(run_batch_timed, calls, rids, name=label)
                 else:
-                    for batch in due:
-                        self._dispatch_thread(batch)
-
-    def _dispatch_thread(self, batch: Batch) -> None:
-        with self._lock:
-            now = self.clock.now()
-            survivors = self._presend_locked(batch, now)
-            if not survivors:
-                return
-            self.stats.batches += 1
-            self.trace.count("serve.batches")
-            self.trace.observe("serve.batch_occupancy", len(survivors))
-            for req in survivors:
-                if req.rt is not None:
-                    req.rt.mark("batch", now)
-        calls = [(r.fn, r.args, r.kwargs) for r in survivors]
-        name = f"{self.name}:{batch.kind}[{len(survivors)}]"
-        self._submit_thread(calls, survivors, name, attempt=1)
-
-    def _dispatch_thread_many(self, batches: list[Batch]) -> None:
-        """Dispatch several due batches through the executor's
-        ``submit_many`` fast path (one pool lock round, one wake-up)."""
-        prepared: list[tuple[list, list[_Request], str]] = []
-        with self._lock:
-            now = self.clock.now()
-            for batch in batches:
-                survivors = self._presend_locked(batch, now)
-                if not survivors:
-                    continue
-                self.stats.batches += 1
-                self.trace.count("serve.batches")
-                self.trace.observe("serve.batch_occupancy", len(survivors))
-                for req in survivors:
-                    if req.rt is not None:
-                        req.rt.mark("batch", now)
-                prepared.append(
-                    (
-                        [(r.fn, r.args, r.kwargs) for r in survivors],
-                        survivors,
-                        f"{self.name}:{batch.kind}[{len(survivors)}]",
+                    future = self.executor.submit(run_batch, calls, name=label)
+            except ExecutorShutdown as exc:
+                with self._lock:
+                    self._fail_locked(
+                        reqs, exc, self.clock.now(), "retry" if attempt > 1 else "queue", attempt
                     )
-                )
-        if not prepared:
-            return
-        try:
-            if self._timed:
-                futures = self.executor.submit_many(
-                    run_batch_timed,
-                    [
-                        (calls, [r.ticket.request_id for r in survivors])
-                        for calls, survivors, _ in prepared
-                    ],
-                    name=self.name,
-                )
-            else:
-                futures = self.executor.submit_many(
-                    run_batch, [(calls,) for calls, _, _ in prepared], name=self.name
-                )
-        except ExecutorShutdown as exc:
-            fail_now = self.clock.now()
-            with self._lock:
-                for _, survivors, _ in prepared:
-                    for req in survivors:
-                        self._abort_keyed_locked(req, exc, fail_now)
-                        if req.rt is not None:
-                            req.rt.mark("queue", fail_now)
-                            req.rt.mark("resolve", fail_now)
-                        self._resolve_locked(
-                            req, Failed(exc, latency=fail_now - req.arrival)
-                        )
-            return
-        for future, (calls, survivors, name) in zip(futures, prepared):
+                continue
             future.add_done_callback(
-                lambda fut, c=calls, s=survivors, n=name: self._on_batch_done(
-                    fut, c, s, n, 1
-                )
+                lambda fut, s=reqs, n=label: self._on_batch_done(fut, s, n, attempt)
             )
 
-    def _submit_thread(
-        self, calls: list, survivors: list[_Request], name: str, attempt: int
-    ) -> None:
-        try:
-            if self._timed:
-                rids = [r.ticket.request_id for r in survivors]
-                future = self.executor.submit(run_batch_timed, calls, rids, name=name)
-            else:
-                future = self.executor.submit(run_batch, calls, name=name)
-        except ExecutorShutdown as exc:
-            fail_now = self.clock.now()
-            with self._lock:
-                for req in survivors:
-                    self._abort_keyed_locked(req, exc, fail_now)
-                    if req.rt is not None:
-                        req.rt.mark("queue", fail_now)
-                        req.rt.mark("resolve", fail_now)
-                    self._resolve_locked(
-                        req, Failed(exc, latency=fail_now - req.arrival)
-                    )
-            return
-        future.add_done_callback(
-            lambda fut: self._on_batch_done(fut, calls, survivors, name, attempt)
-        )
-
     def _on_batch_done(
-        self,
-        future: Future,
-        calls: list,
-        survivors: list[_Request],
-        name: str,
-        attempt: int,
+        self, future: Future, survivors: list[_Request], label: str, attempt: int
     ) -> None:
         exc = future.exception()
         if exc is not None:
             if not isinstance(exc, ExecutorShutdown) and self.retry.should_retry(
                 exc, attempt
             ):
-                self._emit_retry(name, attempt, exc)
-                self._submit_thread(calls, survivors, name, attempt + 1)
+                self._emit_retry(label, attempt, exc)
+                self._send([(survivors, label)], attempt + 1)
                 return
             now = self.clock.now()
             with self._lock:
-                for req in survivors:
-                    self._abort_keyed_locked(req, exc, now)
-                    if req.rt is not None:
-                        req.rt.mark("retry" if attempt > 1 else "queue", now)
-                        req.rt.mark("resolve", now)
-                    self._resolve_locked(
-                        req, Failed(exc, latency=now - req.arrival, attempts=attempt)
-                    )
+                self._fail_locked(
+                    survivors, exc, now, "retry" if attempt > 1 else "queue", attempt
+                )
             return
         raw = future.result()
         if self._timed:
@@ -800,7 +721,7 @@ class Gateway:
                         pid=os.getpid(),
                     )
         with self._lock:
-            for i, (req, (status, payload)) in enumerate(zip(survivors, results)):
+            for i, (req, (status, value)) in enumerate(zip(survivors, results)):
                 if req.rt is not None:
                     if base is not None:
                         req.rt.mark("retry" if attempt > 1 else "queue", base + cum[i])
@@ -808,39 +729,4 @@ class Gateway:
                         req.rt.worker = wid
                         req.rt.pid = pid
                     req.rt.mark("resolve", now)
-                if status == "ok":
-                    if req.key is not None and self.cache is not None:
-                        self.cache.complete(req.key, payload, now)
-                    self._resolve_locked(
-                        req,
-                        Completed(
-                            payload,
-                            latency=now - req.arrival,
-                            batch_size=size,
-                            attempts=attempt,
-                        ),
-                    )
-                else:
-                    if req.key is not None and self.cache is not None:
-                        self.cache.fail(req.key, payload)
-                    self._resolve_locked(
-                        req,
-                        Failed(payload, latency=now - req.arrival, attempts=attempt),
-                    )
-
-    def _on_leader_done(self, req: _Request, leader: Future) -> None:
-        """Thread mode: a coalesced follower's leader resolved."""
-        now = self.clock.now()
-        exc = leader.exception()
-        with self._lock:
-            if req.rt is not None:
-                # the follower spent its whole life waiting on the leader
-                req.rt.mark("cache", now)
-                req.rt.mark("resolve", now)
-            if exc is not None:
-                self._resolve_locked(req, Failed(exc, latency=now - req.arrival))
-            else:
-                self._resolve_locked(
-                    req,
-                    Completed(leader.result(), latency=now - req.arrival, cached=True),
-                )
+                self._deliver_locked(req, status, value, now, size, attempt)

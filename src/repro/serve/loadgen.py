@@ -42,7 +42,7 @@ from repro.obs.trace import TraceRecorder
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.batching import BatchPolicy
 from repro.serve.cache import LRUTTLCache, ModeledCache
-from repro.serve.gateway import Gateway
+from repro.serve.gateway import Gateway, runs_driven
 from repro.serve.requests import Completed, Failed, Rejected
 from repro.util.rng import derive
 from repro.util.tables import Table
@@ -439,24 +439,26 @@ def run_serve(
     collector = (
         RequestTraceCollector() if rtrace or objectives is not None else None
     )
+    driven = runs_driven(executor)
+    cache = (
+        ModeledCache(hit_rate=hit_rate, seed=seed)
+        if driven
+        else LRUTTLCache(cache_capacity, ttl=cache_ttl)
+    )
     gateway = Gateway(
         executor,
         admission=admission or default_admission(base_rate),
         batching=batching or BatchPolicy(max_size=8, max_delay=0.004),
-        cache=None,
+        cache=cache,
         trace=trace,
         rtrace=collector,
     )
-    if gateway.mode == "driven":
-        gateway.cache = ModeledCache(hit_rate=hit_rate, seed=seed)
-    else:
-        gateway.cache = LRUTTLCache(cache_capacity, ttl=cache_ttl)
     ambient = use_rtrace(collector) if collector is not None else None
     if ambient is not None:
         ambient.__enter__()
     try:
         tickets = []
-        if gateway.mode == "driven":
+        if driven:
             clock = gateway.clock
             for a in arrivals:
                 if a.t > clock.now():
@@ -499,7 +501,7 @@ def run_serve(
                 report.shed[resp.reason] = report.shed.get(resp.reason, 0) + 1
             elif isinstance(resp, Failed):
                 report.failed += 1
-        stats = gateway.cache.stats
+        stats = cache.stats
         report.cache_hits = stats.hits + stats.coalesced
         report.cache_misses = stats.misses
         report.batches = gateway.stats.batches

@@ -2,7 +2,6 @@
 
 import threading
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,24 +78,37 @@ class TestTTLExpiry:
 
 
 class TestSingleFlightPrimitive:
+    """The cache tracks in-flight keys; the gateway holds the followers."""
+
     def test_second_request_waits_on_leader(self):
         c = LRUTTLCache(capacity=8)
         assert c.begin("k", 0.0).status == "lead"
-        waiter = c.begin("k", 0.0)
-        assert waiter.status == "wait"
+        assert c.begin("k", 0.0).status == "wait"
+        assert c.begin("k", 0.0).status == "wait"
+        assert c.stats.coalesced == 2 and c.stats.misses == 1
         c.complete("k", 99, 0.0)
-        assert waiter.leader.result(timeout=1.0) == 99
-        assert c.stats.coalesced == 1
+        # the key is no longer in flight: the next request hits the value
+        hit = c.begin("k", 1.0)
+        assert hit.status == "hit" and hit.value == 99
+        assert c.stats.coalesced == 2
 
     def test_leader_failure_releases_waiters_uncached(self):
         c = LRUTTLCache(capacity=8)
         c.begin("k", 0.0)
-        waiter = c.begin("k", 0.0)
-        c.fail("k", ValueError("boom"))
-        with pytest.raises(ValueError):
-            waiter.leader.result(timeout=1.0)
+        assert c.begin("k", 0.0).status == "wait"
+        c.fail("k")
         # nothing cached: the next request leads a fresh attempt
+        assert len(c) == 0
         assert c.begin("k", 1.0).status == "lead"
+        assert c.stats.misses == 2 and c.stats.coalesced == 1
+
+    def test_keys_are_in_flight_independently(self):
+        c = LRUTTLCache(capacity=8)
+        assert c.begin("a", 0.0).status == "lead"
+        assert c.begin("b", 0.0).status == "lead"
+        c.fail("a")
+        assert c.begin("b", 0.0).status == "wait"
+        assert c.begin("a", 0.0).status == "lead"
 
 
 class TestSingleFlightProperty:

@@ -6,6 +6,7 @@ package (``repro.serve.loadgen.panel_body``) — the same spawn-safety
 discipline the backend asks of applications.
 """
 
+import sys
 import threading
 
 import pytest
@@ -222,6 +223,97 @@ class TestCacheIntegration:
         assert ticket.key is None and len(captured) == 1
 
 
+class TestCoalescedFollowers:
+    """Requests for a key already in flight wait on its leader and share
+    its outcome, whichever way the leader ends, on every clock discipline."""
+
+    BACKENDS = ["inline", "sim", "threads"]
+
+    @staticmethod
+    def held_batches() -> BatchPolicy:
+        # the leader stays queued long enough for followers to join it
+        return BatchPolicy(max_size=100, max_delay=0.05)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_followers_share_the_leaders_value(self, backend):
+        runs = []
+
+        def body(x):
+            runs.append(x)
+            return x * 2
+
+        with create(backend) as executor:
+            cache = LRUTTLCache(capacity=8)
+            gateway = Gateway(executor, cache=cache, batching=self.held_batches())
+            tickets = [gateway.submit(body, 3, task="double") for _ in range(3)]
+            gateway.drain()
+            responses = [t.response(5.0) for t in tickets]
+            gateway.shutdown()
+        assert runs == [3]
+        assert all(isinstance(r, Completed) and r.value == 6 for r in responses)
+        assert [r.cached for r in responses] == [False, True, True]
+        assert cache.stats.coalesced == 2
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_leader_body_raises_fails_followers_typed(self, backend):
+        runs = []
+
+        def flaky(x):
+            runs.append(x)
+            if len(runs) == 1:
+                raise ValueError("first run fails")
+            return x * 2
+
+        with create(backend) as executor:
+            gateway = Gateway(
+                executor, cache=LRUTTLCache(capacity=8), batching=self.held_batches()
+            )
+            leader = gateway.submit(flaky, 3, task="flaky")
+            followers = [gateway.submit(flaky, 3, task="flaky") for _ in range(2)]
+            gateway.drain()
+            failed = [t.response(5.0) for t in (leader, *followers)]
+            # nothing was cached: the next request leads a fresh run
+            again = gateway.submit(flaky, 3, task="flaky")
+            gateway.drain()
+            fresh = again.response(5.0)
+            gateway.shutdown()
+        assert all(isinstance(r, Failed) for r in failed)
+        assert all(isinstance(r.error, ValueError) for r in failed)
+        assert isinstance(fresh, Completed) and fresh.value == 6 and not fresh.cached
+        assert runs == [3, 3]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("why", ["cancelled", "deadline"])
+    def test_leader_rejected_at_dispatch_fails_followers_typed(self, backend, why):
+        token = CancelToken(name="client-gone")
+        with create(backend) as executor:
+            cache = LRUTTLCache(capacity=8)
+            gateway = Gateway(executor, cache=cache, batching=self.held_batches())
+            if why == "cancelled":
+                leader = gateway.submit(panel_body, 4, task="panel", cancel=token)
+                token.cancel()
+            else:
+                # the batch ages out after 0.05 s, past this deadline
+                leader = gateway.submit(panel_body, 4, task="panel", deadline=0.01)
+            followers = [gateway.submit(panel_body, 4, task="panel") for _ in range(2)]
+            if why == "cancelled":
+                gateway.drain()
+            else:
+                gateway.pump(now=1.0)  # driven; thread mode ages out on its own
+            rejected = leader.response(5.0)
+            follower_responses = [t.response(5.0) for t in followers]
+            again = gateway.submit(panel_body, 4, task="panel")
+            gateway.drain()
+            fresh = again.response(5.0)
+            gateway.shutdown()
+        assert isinstance(rejected, Rejected) and rejected.reason == why
+        assert all(isinstance(r, Failed) for r in follower_responses)
+        assert all(isinstance(r.error, RuntimeError) for r in follower_responses)
+        assert isinstance(fresh, Completed) and not fresh.cached
+        assert fresh.value == panel_body(4)
+        assert cache.stats.misses == 2 and cache.stats.coalesced == 2
+
+
 class TestFaultsAndRetries:
     def test_injected_faults_retried_transparently(self):
         plan = FaultPlan(seed=3, task_failure_rate=0.4)
@@ -289,3 +381,54 @@ class TestThreadModeConcurrency:
         flat = [r for rs in results for r in rs]
         assert len(flat) == 100
         assert all(isinstance(r, Completed) for r in flat)
+
+    def test_coalescing_under_contention_runs_each_key_once(self):
+        """More clients than cores and a short switch interval: the
+        followers parked by the gateway, the leaders' completion
+        callbacks on pool workers and the dispatcher thread all meet
+        under the gateway lock, and no follower is lost or run twice."""
+        runs: dict[int, int] = {}
+        runs_lock = threading.Lock()
+
+        def body(k: int) -> int:
+            with runs_lock:
+                runs[k] = runs.get(k, 0) + 1
+            return k * 13
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with create("threads", cores=2) as executor:
+                cache = LRUTTLCache(capacity=64)
+                gateway = Gateway(
+                    executor,
+                    batching=BatchPolicy(max_size=4, max_delay=0.001),
+                    cache=cache,
+                )
+                results: list[list] = [[] for _ in range(6)]
+
+                def client(i: int) -> None:
+                    tickets = [
+                        gateway.submit(body, (i + j) % 12, task="memo")
+                        for j in range(40)
+                    ]
+                    results[i] = [(t.key, t.response(10.0)) for t in tickets]
+
+                threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=20.0)
+                assert not any(t.is_alive() for t in threads)
+                gateway.shutdown()
+        finally:
+            sys.setswitchinterval(previous)
+        flat = [r for rs in results for _, r in rs]
+        assert len(flat) == 240 and all(isinstance(r, Completed) for r in flat)
+        assert sorted(r.value for r in flat) == sorted(
+            ((i + j) % 12) * 13 for i in range(6) for j in range(40)
+        )
+        assert runs == {k: 1 for k in range(12)}
+        stats = cache.stats
+        assert stats.misses == 12 and stats.lookups == 240
+        assert gateway.queue_depth == 0
